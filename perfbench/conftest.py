@@ -1,0 +1,9 @@
+"""Puts the system under test (``src``) and the benchmark on ``sys.path``."""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+for path in (HERE, os.path.join(os.path.dirname(HERE), "src")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
