@@ -12,9 +12,12 @@ structured result files alike.  Every numeric metric present in the
 *baseline* is checked; metrics only in the current file are informational
 (so adding a metric does not break older baselines).
 
-Direction is inferred from the metric name: ``*_bytes`` metrics are
-lower-is-better (a grown frame is a regression), everything else —
-throughputs, ops/s, speedup ratios — is higher-is-better.  A metric
+Direction is inferred from the metric name (:func:`lower_is_better`):
+sizes (``*_bytes``) and times (``*_ms``, ``*_seconds``, ``*_s``, and
+anything containing ``latency``) are lower-is-better — a grown frame or
+a slower op is a regression.  Rates (``*_ops_s``, ``*_per_s``) and
+everything else — throughputs, speedup ratios, availabilities — are
+higher-is-better.  A metric
 regresses when it is worse than the baseline by more than ``tolerance``
 (default 30%, the CI band; improvements never fail and are the cue to
 refresh the baseline).
@@ -49,6 +52,15 @@ def load_metrics(path: str) -> Dict[str, float]:
     return _flatten(data)
 
 
+def lower_is_better(metric: str) -> bool:
+    """Whether a smaller value of ``metric`` is an improvement."""
+    if metric.endswith(("_ops_s", "_per_s")):
+        return False  # a rate, though it ends in _s
+    return "latency" in metric or metric.endswith(
+        ("_bytes", "_ms", "_seconds", "_s")
+    )
+
+
 def compare(
     current: Dict[str, float], baseline: Dict[str, float], tolerance: float
 ):
@@ -59,10 +71,9 @@ def compare(
         if now is None:
             yield metric, base, None, None, False
             continue
-        lower_is_better = metric.endswith("_bytes")
         if base == 0:
             ratio, ok = 1.0, True  # a zero baseline cannot regress meaningfully
-        elif lower_is_better:
+        elif lower_is_better(metric):
             ratio = now / base
             ok = ratio <= 1.0 + tolerance
         else:

@@ -1,11 +1,14 @@
 """``python -m repro chaos`` — run a seeded chaos campaign end to end.
 
-Boots an in-process localhost cluster (:class:`~repro.live.harness.LiveKVCluster`),
-runs a recorded client workload while a :class:`~repro.chaos.nemesis.Nemesis`
-executes a seeded fault plan, then heals, lets the cluster quiesce, and
-checks the recorded history for linearizability.  Exit status: ``0`` if
-the history is linearizable, ``1`` on a violation (the minimal witness is
-printed), ``2`` if the checker's time budget ran out before a verdict.
+Turns its arguments into a :class:`~repro.dst.livestack.LiveScenario`
+and runs it with :func:`~repro.dst.livestack.run_live` on real
+localhost sockets (:class:`~repro.core.runtime.AsyncioRuntime`): boot an
+in-process cluster, run a recorded client workload while the nemesis
+executes a seeded fault plan, heal, take grace reads, and check the
+recorded history for linearizability.  Exit status: ``0`` if the history
+is linearizable, ``1`` on a violation (the minimal witness is printed),
+``2`` if no verdict was reached (the checker's time budget ran out, the
+cluster failed to run, or the arguments were unusable).
 
 Examples::
 
@@ -19,8 +22,9 @@ Power-failure campaigns (durable storage)::
     python -m repro chaos --seed 5 --kinds power-fail-all --inject-bug lost-ack
 
 Durability fault kinds give every node a data directory (a temporary one
-unless ``--data-dir`` is set), so kills are power failures and restarts
-are WAL crash recovery.  ``--inject-bug lost-ack`` skips every fsync —
+unless ``--data-dir`` is set; a given ``--data-dir`` must be new or
+empty), so kills are power failures and restarts are WAL crash
+recovery.  ``--inject-bug lost-ack`` skips every fsync —
 acked writes then vanish in a ``power-fail-all``, which the checker must
 reject.
 
@@ -42,31 +46,17 @@ rival leader commits — a stale read the checker must reject.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import sys
-import tempfile
 from typing import List, Optional
 
-from repro.chaos.checker import check_history
-from repro.chaos.history import History
-from repro.chaos.nemesis import (
-    DEFAULT_KINDS,
-    DURABILITY_KINDS,
-    FAULT_KINDS,
-    FaultEvent,
-    FaultPlan,
-    Nemesis,
-)
+from repro.chaos.nemesis import DEFAULT_KINDS, FAULT_KINDS, FaultPlan
 from repro.chaos.timeline import render_html, render_text
-from repro.chaos.workload import close_clients, make_clients, run_workload
+from repro.core.runtime import AsyncioRuntime
+from repro.dst.livestack import LiveScenario, run_live
+from repro.dst.scenario import ERROR
 from repro.live.engine import DEFAULT_ENGINE, ENGINES, EngineError, parse_engine_spec
-from repro.live.harness import LiveKVCluster
 from repro.live.kv import READ_TIERS
 from repro.storage.engine import SYNC_MODES
-
-#: Fast-failover timings for campaigns: elections resolve in ~a second,
-#: so a 20-second campaign sees many leadership changes.
-CAMPAIGN_TIMINGS = dict(election_timeout=(0.3, 0.6), heartbeat_interval=0.06)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,9 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--data-dir", metavar="DIR", default=None,
-        help="persist each node's Raft state under DIR (power-failure "
-        "fault kinds and --inject-bug lost-ack use a temporary "
-        "directory when omitted)",
+        help="persist each node's Raft state under DIR, which must be new "
+        "or empty (power-failure fault kinds and --inject-bug lost-ack "
+        "use a temporary directory when omitted)",
     )
     parser.add_argument(
         "--sync-mode", choices=SYNC_MODES, default="inline",
@@ -187,113 +177,74 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-async def run_campaign(args: argparse.Namespace) -> int:
-    try:
-        parse_engine_spec(args.engine, args.shards)
-    except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
+#: Flags that map one to one onto :class:`LiveScenario` fields.
+_SCENARIO_ARGS = (
+    "shards", "seed", "engine", "read_tier", "duration", "clients",
+    "readonly_clients", "key_space", "read_fraction", "op_pause", "grace",
+    "sync_mode", "drift_bound", "lease_duration",
+)
+
+
+def scenario_from_args(args: argparse.Namespace) -> LiveScenario:
+    """The campaign the arguments describe."""
     if args.campaign == "lease-attack":
-        kinds = ("clock-skew", "timeout-skew", "partition-leader")
         plan = FaultPlan.lease_attack_campaign(
-            args.seed,
-            duration=args.duration,
-            period=args.fault_period,
+            args.seed, duration=args.duration, period=args.fault_period
         )
     else:
         plan = FaultPlan.random_campaign(
             args.seed,
             duration=args.duration,
             period=args.fault_period,
-            kinds=kinds,
+            kinds=tuple(k.strip() for k in args.kinds.split(",") if k.strip()),
         )
-    data_dir = args.data_dir
-    tmp_dir = None
-    if data_dir is None and (
-        args.inject_bug == "lost-ack"
-        or any(kind in DURABILITY_KINDS for kind in kinds)
-    ):
-        tmp_dir = tempfile.TemporaryDirectory(prefix="repro-chaos-")
-        data_dir = tmp_dir.name
-    read_tier = args.read_tier
-    if args.inject_bug == "unbounded-lease" and read_tier == "safe":
-        read_tier = "lease"  # the bug needs a lease to mis-bound
-    cluster = LiveKVCluster(
-        args.nodes,
-        seed=args.seed,
-        shards=args.shards,
-        engine=args.engine,
-        unsafe_lin_reads=(args.inject_bug == "stale-reads"),
-        data_dir=data_dir,
-        sync_mode=args.sync_mode,
-        lost_ack_bug=(args.inject_bug == "lost-ack"),
-        read_tier=read_tier,
-        lease_duration=args.lease_duration,
-        drift_bound=(
-            0.0 if args.inject_bug == "unbounded-lease" else args.drift_bound
-        ),
-        **CAMPAIGN_TIMINGS,
+    return LiveScenario(
+        n=args.nodes,
+        inject_bug=args.inject_bug or "",
+        faults=plan.events,
+        **{name: getattr(args, name) for name in _SCENARIO_ARGS},
     )
-    history = History()
-    clients = make_clients(
-        cluster.cluster, history, args.clients, shards=args.shards
-    )
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        parse_engine_spec(args.engine, args.shards)
+        scenario = scenario_from_args(args)
+    except (EngineError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     say = (lambda *_a, **_k: None) if args.quiet else print
     say(
         f"campaign: {args.nodes} nodes / {args.shards} shards "
-        f"({args.engine}, reads={read_tier}), seed {args.seed}, "
-        f"{len(plan.events)} fault events over {args.duration:.0f}s"
+        f"({args.engine}, reads={scenario.effective_read_tier()}), "
+        f"seed {args.seed}, {len(scenario.faults)} fault events over "
+        f"{args.duration:.0f}s"
     )
     try:
-        await cluster.start()
-        await cluster.wait_for_all_leaders(15.0)
-        nemesis = Nemesis(cluster, plan)
-        workload = asyncio.ensure_future(
-            run_workload(
-                clients,
-                duration=args.duration,
-                seed=args.seed,
-                key_space=args.key_space,
-                read_fraction=args.read_fraction,
-                readonly_clients=args.readonly_clients,
-                pause=args.op_pause,
-            )
+        result = run_live(
+            scenario,
+            AsyncioRuntime(),
+            data_dir=args.data_dir,
+            time_budget=args.time_budget,
         )
-        await nemesis.run()
-        stats = await workload
-        # Heal everything, revive everyone, and give the cluster a grace
-        # period so the final reads land on a converged system.
-        await nemesis.apply(FaultEvent(0.0, "heal"))
-        await nemesis.apply(FaultEvent(0.0, "restart"))
-        await cluster.wait_for_all_leaders(15.0)
-        if args.grace > 0:
-            await run_workload(
-                clients,
-                duration=args.grace,
-                seed=args.seed + 1,
-                key_space=args.key_space,
-                read_fraction=1.0,
-                readonly_clients=len(clients),
-                pause=args.op_pause,
-            )
-        for action in nemesis.log:
-            say(f"  t={action.at:6.2f}s  {action.kind:<15} {action.detail}")
-        say(
-            f"workload: {stats['ok']} ok, {stats['ambiguous']} ambiguous, "
-            f"{stats['failed']} failed; history of {len(history)} ops"
-        )
-    finally:
-        await close_clients(clients)
-        await cluster.stop()
-        if tmp_dir is not None:
-            tmp_dir.cleanup()
-
-    report = check_history(history, time_budget=args.time_budget)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if result.outcome.status == ERROR:
+        print(f"error: {result.outcome.violation.message}", file=sys.stderr)
+        return 2
+    history, report, stats = result.history, result.report, result.stats
+    for at, kind, detail in result.nemesis_log:
+        say(f"  t={at:6.2f}s  {kind:<15} {detail}")
+    say(
+        f"workload: {stats['ok']} ok, {stats['ambiguous']} ambiguous, "
+        f"{stats['failed']} failed; history of {len(history)} ops"
+    )
     print(report.summary())
     if args.json:
         with open(args.json, "w") as fh:
-            fh.write(history.to_jsonl())
+            fh.write(result.history_jsonl)
         say(f"history written to {args.json}")
     if args.html:
         witness = report.violations[0].witness if report.violations else None
@@ -303,7 +254,7 @@ async def run_campaign(args: argparse.Namespace) -> int:
                     history.ops,
                     title=f"chaos seed {args.seed}"
                     + (" — NOT linearizable" if report.ok is False else ""),
-                    faults=[(a.at, a.kind) for a in nemesis.log],
+                    faults=[(at, kind) for at, kind, _ in result.nemesis_log],
                     highlight=witness,
                 )
             )
@@ -315,11 +266,6 @@ async def run_campaign(args: argparse.Namespace) -> int:
             print(render_text(violation.witness))
         return 1
     return 0 if report.ok else 2
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    return asyncio.run(run_campaign(args))
 
 
 if __name__ == "__main__":

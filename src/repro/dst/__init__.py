@@ -55,8 +55,6 @@ from repro.dst.livestack import (
     explore_live,
     generate_live_scenarios,
     run_live,
-    run_live_scenario,
-    shrink_live,
 )
 from repro.dst.oracle import OnlineInvariantChecker, OnlineViolation
 from repro.dst.registry import (
@@ -111,9 +109,7 @@ __all__ = [
     "register",
     "replay",
     "run_live",
-    "run_live_scenario",
     "run_scenario",
     "save_case",
     "shrink",
-    "shrink_live",
 ]

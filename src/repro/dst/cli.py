@@ -52,8 +52,7 @@ from repro.dst.livestack import (
     LIVE_EXPLORE_KINDS,
     LiveScenario,
     explore_live,
-    run_live_scenario,
-    shrink_live,
+    run_live,
 )
 from repro.dst.registry import algorithm_names, get_algorithm
 from repro.dst.scenario import VIOLATION, Scenario, run_scenario
@@ -240,7 +239,8 @@ def _explore_live(args: argparse.Namespace) -> int:
     for scenario, violation in report.failures:
         print(f"\n[{violation.kind}] {violation.message}")
         if args.shrink:
-            scenario, violation = shrink_live(scenario, violation)
+            result = shrink(scenario, violation)
+            scenario, violation = result.scenario, result.violation
             print(
                 f"shrunk to {len(scenario.faults)} fault event(s), "
                 f"{scenario.clients} client(s):"
@@ -363,7 +363,7 @@ def _replay(args: argparse.Namespace) -> int:
         return 1
     # A bare scenario JSON: just run it and report.
     if data.get("stack") == "live":
-        outcome = run_live_scenario(LiveScenario.from_dict(data))
+        outcome = run_live(LiveScenario.from_dict(data)).outcome
     else:
         outcome = run_scenario(Scenario.from_dict(data))
     print(f"status={outcome.status} ({outcome.events} events)")

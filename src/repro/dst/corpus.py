@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from typing import Any, Dict, List, Union
 
-from repro.dst.livestack import LiveScenario, run_live_scenario
+from repro.dst.livestack import LiveScenario, run_live
 from repro.dst.scenario import (
     VIOLATION,
     Scenario,
@@ -133,7 +133,7 @@ def load_corpus(directory: str = DEFAULT_CORPUS_DIR) -> List[CorpusCase]:
 def replay(case: CorpusCase) -> ScenarioOutcome:
     """Re-run a stored case deterministically and return its outcome."""
     if isinstance(case.scenario, LiveScenario):
-        return run_live_scenario(case.scenario)
+        return run_live(case.scenario).outcome
     return run_scenario(case.scenario)
 
 

@@ -1,39 +1,37 @@
-"""DST over the *live* production stack: seeded chaos in virtual time.
+"""The chaos campaign runner: one live-stack campaign, on any runtime.
 
-This module is the payoff of the runtime seam
-(:mod:`repro.core.runtime`): it runs the **identical** production code —
-:class:`~repro.live.kv.KVServer` with sharding, the redirect-following
-:class:`~repro.live.client.AsyncKVClient`, the chaos
-:class:`~repro.chaos.nemesis.Nemesis` and the recorded workload — inside
-a :class:`~repro.core.runtime.SimRuntime`, where every socket is an
-in-memory stream and every clock is virtual.  A 10-second fault campaign
-executes in tens of milliseconds, and — crucially — the *entire*
-execution is a pure function of the scenario: the same
-:class:`LiveScenario` always produces the same histories, the same
-traces, the same commit orders and the same checker verdict, byte for
-byte.  That turns every live-stack bug into a replayable regression
-seed, exactly as :mod:`repro.dst.scenario` already does for the bare
-algorithm nodes.
+:func:`run_live` is the only place a campaign is assembled: boot a
+sharded :class:`~repro.live.harness.LiveKVCluster`, wait for leaders,
+run the recorded client workload while a
+:class:`~repro.chaos.nemesis.Nemesis` executes the scenario's fault
+events, heal and restart everything, take read-only grace reads, then
+hand the history to the Wing & Gill linearizability checker.  ``python
+-m repro chaos``, ``explore --stack live``, corpus replay, the chaos
+test suites and experiment E15 all describe their campaign as a
+:class:`LiveScenario` and call it.
 
-The shape mirrors ``python -m repro chaos``: boot a cluster, run a
-recorded client workload while the nemesis executes a seeded fault plan
-(kills, partitions, drops, delays, clock skew), heal, let the cluster
-converge, read everything back, then hand the recorded history to the
-Wing & Gill linearizability checker as the oracle.
+The runtime is the one free choice.  By default each run gets a fresh
+:class:`~repro.core.runtime.SimRuntime` — in-memory sockets, virtual
+clocks — so a 10-second campaign takes tens of milliseconds and the
+whole execution is a pure function of the scenario: the same histories,
+traces, commit orders and verdict, byte for byte, which turns every
+live-stack bug into a replayable regression seed.  An
+:class:`~repro.core.runtime.AsyncioRuntime` runs the identical campaign
+over real localhost sockets and wall-clock time.
 
-Use :func:`explore_live` to sweep seeded scenarios (``python -m repro
-explore --stack live``), :func:`shrink_live` to greedily minimize a
-failing one, and :func:`run_live_scenario` to replay a corpus case.
+:func:`explore_live` sweeps seeded scenarios;
+:func:`repro.dst.shrinker.shrink` minimizes a failing one.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.chaos.checker import check_history
+from repro.chaos.checker import CheckReport, check_history
 from repro.chaos.history import History
 from repro.chaos.nemesis import (
     DEFAULT_KINDS,
@@ -44,7 +42,7 @@ from repro.chaos.nemesis import (
     Nemesis,
 )
 from repro.chaos.workload import close_clients, make_clients, run_workload
-from repro.core.runtime import SimRuntime
+from repro.core.runtime import Runtime, SimRuntime
 from repro.dst.scenario import (
     ERROR,
     OK,
@@ -55,10 +53,13 @@ from repro.dst.scenario import (
 )
 from repro.live.harness import LiveKVCluster
 
-#: Campaign timings (same as ``python -m repro chaos``): elections
-#: resolve in about a virtual second, so short campaigns still see
-#: several leadership changes.
-SIM_TIMINGS = dict(election_timeout=(0.3, 0.6), heartbeat_interval=0.06)
+#: Campaign timings: elections resolve in about a second, so short
+#: campaigns still see several leadership changes.
+CAMPAIGN_TIMINGS = dict(election_timeout=(0.3, 0.6), heartbeat_interval=0.06)
+
+#: Seconds (on the runtime's clock) to wait for every shard to elect a
+#: leader, at boot and again after the final heal.
+LEADER_WAIT = 30.0
 
 #: The fault mix explored by default: every kind that needs neither a
 #: data directory nor wall-clock side effects.  Durability kinds
@@ -75,18 +76,24 @@ LIVE_EXPLORE_KINDS = DEFAULT_KINDS + (
 #: chaos CLI exposes (empty string = correct cluster).
 LIVE_BUGS = ("", "stale-reads", "unbounded-lease", "lost-ack")
 
-#: Virtual-seconds safety cap multiplier for one campaign run.
+#: Safety cap, in runtime seconds, on one campaign beyond its duration
+#: and grace period.
 _RUN_TIMEOUT_SLACK = 90.0
+
+#: Server settings serialized only when they differ from their defaults,
+#: so scenarios stored before the fields existed round-trip unchanged.
+_SERVER_FIELDS = ("sync_mode", "drift_bound", "lease_duration")
 
 
 @dataclass(frozen=True)
 class LiveScenario:
-    """One fully-specified, JSON-serializable live-stack schedule.
+    """One fully-specified, JSON-serializable live-stack campaign.
 
     ``faults`` is the *explicit* event list (not a generator seed), so a
     shrunk scenario — with events deleted — round-trips through the
     corpus unchanged.  ``seed`` still drives everything else: election
-    randomness, transport jitter, the workload op mix.
+    randomness, transport jitter, the workload op mix, and the nemesis'
+    own victim RNG.
     """
 
     n: int = 3
@@ -103,6 +110,9 @@ class LiveScenario:
     op_pause: float = 0.02
     grace: float = 1.5
     faults: Tuple[FaultEvent, ...] = ()
+    sync_mode: str = "inline"
+    drift_bound: float = 0.03
+    lease_duration: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.inject_bug not in LIVE_BUGS:
@@ -126,34 +136,32 @@ class LiveScenario:
             return "lease"  # the bug needs a lease to mis-bound
         return self.read_tier
 
+    def effective_drift_bound(self) -> float:
+        if self.inject_bug == "unbounded-lease":
+            return 0.0  # the bug: leases ignore clock drift
+        return self.drift_bound
+
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "stack": "live",
-            "n": self.n,
-            "shards": self.shards,
-            "seed": self.seed,
-            "engine": self.engine,
-            "read_tier": self.read_tier,
-            "inject_bug": self.inject_bug,
-            "duration": self.duration,
-            "clients": self.clients,
-            "readonly_clients": self.readonly_clients,
-            "key_space": self.key_space,
-            "read_fraction": self.read_fraction,
-            "op_pause": self.op_pause,
-            "grace": self.grace,
-            "faults": [
-                {
-                    "at": e.at,
-                    "kind": e.kind,
-                    "args": [[name, value] for name, value in e.args],
-                }
-                for e in self.faults
-            ],
-        }
+        data: Dict[str, Any] = {"stack": "live"}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in _SERVER_FIELDS and value == f.default:
+                continue
+            if f.name == "faults":
+                value = [
+                    {
+                        "at": e.at,
+                        "kind": e.kind,
+                        "args": [[name, arg] for name, arg in e.args],
+                    }
+                    for e in value
+                ]
+            data[f.name] = value
+        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "LiveScenario":
+        names = {f.name for f in fields(cls)} - {"n", "faults"}
         faults = tuple(
             FaultEvent(
                 at=f["at"],
@@ -162,75 +170,110 @@ class LiveScenario:
             )
             for f in data.get("faults", [])
         )
-        return cls(
-            n=data["n"],
-            shards=data.get("shards", 1),
-            seed=data.get("seed", 0),
-            engine=data.get("engine", "raft"),
-            read_tier=data.get("read_tier", "safe"),
-            inject_bug=data.get("inject_bug", ""),
-            duration=data.get("duration", 6.0),
-            clients=data.get("clients", 3),
-            readonly_clients=data.get("readonly_clients", 1),
-            key_space=data.get("key_space", 3),
-            read_fraction=data.get("read_fraction", 0.5),
-            op_pause=data.get("op_pause", 0.02),
-            grace=data.get("grace", 1.5),
-            faults=faults,
-        )
+        kwargs = {k: v for k, v in data.items() if k in names}
+        kwargs.setdefault("shards", 1)
+        return cls(n=data["n"], faults=faults, **kwargs)
 
 
 @dataclass
 class LiveRunResult:
-    """Everything one simulated campaign produced.
+    """Everything one campaign produced.
+
+    ``stats`` counts the workload's ops while the faults ran,
+    ``grace_stats`` the post-heal grace reads alone; ``fault_ops`` is
+    the history length when the fault phase ended, so
+    ``history.ops[:fault_ops]`` are the ops issued under faults.
 
     ``fingerprint`` hashes the client history, every node's applied
     (commit) order, the nemesis action log and the checker verdict —
-    two runs of the same scenario must produce the same fingerprint,
-    which is the determinism test's single assertion.
+    two simulated runs of the same scenario must produce the same
+    fingerprint, which is the determinism test's single assertion.
     """
 
     outcome: ScenarioOutcome
-    history_jsonl: str = ""
+    history: Optional[History] = None
+    report: Optional[CheckReport] = None
+    stats: Dict[str, int] = field(default_factory=dict)
+    grace_stats: Dict[str, int] = field(default_factory=dict)
+    fault_ops: int = 0
     trace_text: str = ""
     nemesis_log: List[Tuple[float, str, str]] = field(default_factory=list)
-    checker_summary: str = ""
-    stats: Dict[str, int] = field(default_factory=dict)
     fingerprint: str = ""
 
+    @property
+    def history_jsonl(self) -> str:
+        return self.history.to_jsonl() if self.history is not None else ""
 
-def run_live(scenario: LiveScenario) -> LiveRunResult:
-    """Run one scenario under a fresh :class:`SimRuntime`; deterministic."""
-    rt = SimRuntime()
+
+def run_live(
+    scenario: LiveScenario,
+    runtime: Optional[Runtime] = None,
+    *,
+    data_dir: Optional[str] = None,
+    time_budget: float = 60.0,
+) -> LiveRunResult:
+    """Run one campaign and check its history; never raises on a bad run.
+
+    Args:
+        scenario: the campaign to run.
+        runtime: where to run it; ``None`` means a fresh
+            :class:`SimRuntime` (deterministic, closed afterwards).
+        data_dir: root of the nodes' data directories.  ``None`` keeps
+            the cluster diskless unless the scenario needs disks, in
+            which case a temporary directory is used and removed.
+        time_budget: the linearizability checker's wall-clock budget.
+            The default is generous: simulated histories are small, and
+            a budget-flipped verdict would break replay determinism.
+
+    A harness failure (a crash, no leader within :data:`LEADER_WAIT`)
+    is reported as an ``error`` outcome, not raised.
+
+    Raises:
+        ValueError: if ``data_dir`` already holds entries.  A history
+            starts empty, so values a previous run left in the WALs
+            would read as violations it never wrote.
+    """
+    if data_dir is not None and os.path.isdir(data_dir) and os.listdir(data_dir):
+        raise ValueError(
+            f"data dir {data_dir!r} is not empty; a campaign needs a new or "
+            f"empty directory"
+        )
+    rt = runtime if runtime is not None else SimRuntime()
+    tmp_dir: Optional[tempfile.TemporaryDirectory] = None
+    if data_dir is None and scenario.needs_disk:
+        tmp_dir = tempfile.TemporaryDirectory(prefix="repro-live-")
+        data_dir = tmp_dir.name
     cap = scenario.duration + scenario.grace + _RUN_TIMEOUT_SLACK
     try:
-        try:
-            result = rt.run(_campaign(rt, scenario), timeout=cap)
-        except Exception as exc:  # harness failure, not a verdict
-            return LiveRunResult(
-                outcome=ScenarioOutcome(
-                    status=ERROR,
-                    violation=ViolationRecord(
-                        "error", f"{type(exc).__name__}: {exc}"
-                    ),
-                )
+        result = rt.run(_campaign(rt, scenario, data_dir), timeout=cap)
+        result.report = check_history(result.history, time_budget=time_budget)
+    except Exception as exc:  # harness failure, not a verdict
+        return LiveRunResult(
+            outcome=ScenarioOutcome(
+                status=ERROR,
+                violation=ViolationRecord(
+                    "error", f"{type(exc).__name__}: {exc}"
+                ),
             )
+        )
     finally:
-        rt.close()
+        if runtime is None:
+            rt.close()
+        if tmp_dir is not None:
+            tmp_dir.cleanup()
+    result.outcome = _verdict(result.report, result.history)
+    result.fingerprint = _fingerprint(
+        result.history_jsonl, result.trace_text, result.nemesis_log,
+        result.outcome,
+    )
     return result
 
 
-def run_live_scenario(scenario: LiveScenario) -> ScenarioOutcome:
-    """Corpus-facing entry point: scenario in, outcome out."""
-    return run_live(scenario).outcome
-
-
-async def _campaign(rt: SimRuntime, scenario: LiveScenario) -> LiveRunResult:
-    tmp_dir: Optional[tempfile.TemporaryDirectory] = None
-    data_dir: Optional[str] = None
-    if scenario.needs_disk:
-        tmp_dir = tempfile.TemporaryDirectory(prefix="repro-dst-live-")
-        data_dir = tmp_dir.name
+async def _campaign(
+    rt: Runtime, scenario: LiveScenario, data_dir: Optional[str]
+) -> LiveRunResult:
+    """Boot → wait for leaders → nemesis ‖ workload → heal + restart →
+    grace reads.  Returns the result without a verdict."""
     cluster = LiveKVCluster(
         scenario.n,
         seed=scenario.seed,
@@ -239,12 +282,12 @@ async def _campaign(rt: SimRuntime, scenario: LiveScenario) -> LiveRunResult:
         unsafe_lin_reads=(scenario.inject_bug == "stale-reads"),
         lost_ack_bug=(scenario.inject_bug == "lost-ack"),
         data_dir=data_dir,
+        sync_mode=scenario.sync_mode,
         read_tier=scenario.effective_read_tier(),
-        drift_bound=(
-            0.0 if scenario.inject_bug == "unbounded-lease" else 0.03
-        ),
+        lease_duration=scenario.lease_duration,
+        drift_bound=scenario.effective_drift_bound(),
         runtime=rt,
-        **SIM_TIMINGS,
+        **CAMPAIGN_TIMINGS,
     )
     history = History(runtime=rt)
     clients = make_clients(
@@ -254,12 +297,13 @@ async def _campaign(rt: SimRuntime, scenario: LiveScenario) -> LiveRunResult:
         shards=scenario.shards,
         deterministic_ids=True,
     )
-    plan = FaultPlan(scenario.faults, seed=scenario.seed)
-    nemesis = Nemesis(cluster, plan)
-    stats: Dict[str, int] = {}
+    nemesis = Nemesis(cluster, FaultPlan(scenario.faults, seed=scenario.seed))
+    result = LiveRunResult(
+        outcome=ScenarioOutcome(status=UNDECIDED), history=history
+    )
     try:
         await cluster.start()
-        await cluster.wait_for_all_leaders(30.0)
+        await cluster.wait_for_all_leaders(LEADER_WAIT)
         workload = rt.spawn(
             run_workload(
                 clients,
@@ -272,14 +316,16 @@ async def _campaign(rt: SimRuntime, scenario: LiveScenario) -> LiveRunResult:
             )
         )
         await nemesis.run()
-        stats = await workload
+        result.stats = await workload
+        result.fault_ops = len(history)
         # Heal, revive, and give the converged cluster a read-only grace
         # pass so stale state still visible anywhere gets observed.
         await nemesis.apply(FaultEvent(0.0, "heal"))
         await nemesis.apply(FaultEvent(0.0, "restart"))
-        await cluster.wait_for_all_leaders(30.0)
+        await cluster.wait_for_all_leaders(LEADER_WAIT)
+        totals = result.stats
         if scenario.grace > 0:
-            await run_workload(
+            totals = await run_workload(
                 clients,
                 duration=scenario.grace,
                 seed=scenario.seed + 1,
@@ -288,32 +334,13 @@ async def _campaign(rt: SimRuntime, scenario: LiveScenario) -> LiveRunResult:
                 readonly_clients=len(clients),
                 pause=scenario.op_pause,
             )
+        result.grace_stats = {k: totals[k] - result.stats[k] for k in totals}
     finally:
         await close_clients(clients)
         await cluster.stop()
-        if tmp_dir is not None:
-            tmp_dir.cleanup()
-
-    # Generous wall-clock budget: simulated histories are small, and a
-    # budget-flipped verdict would break replay determinism.
-    report = check_history(history, time_budget=60.0)
-    trace_text = _trace_text(cluster)
-    history_jsonl = history.to_jsonl()
-    nemesis_log = [(a.at, a.kind, a.detail) for a in nemesis.log]
-    outcome = _verdict(report, history)
-    summary = report.summary()
-    fingerprint = _fingerprint(
-        history_jsonl, trace_text, nemesis_log, outcome
-    )
-    return LiveRunResult(
-        outcome=outcome,
-        history_jsonl=history_jsonl,
-        trace_text=trace_text,
-        nemesis_log=nemesis_log,
-        checker_summary=summary,
-        stats=stats,
-        fingerprint=fingerprint,
-    )
+    result.trace_text = _trace_text(cluster)
+    result.nemesis_log = [(a.at, a.kind, a.detail) for a in nemesis.log]
+    return result
 
 
 def _verdict(report, history: History) -> ScenarioOutcome:
@@ -453,15 +480,13 @@ def explore_live(
     kinds: Tuple[str, ...] = LIVE_EXPLORE_KINDS,
     fault_period: float = 1.5,
     stop_after: Optional[int] = None,
-    progress: Any = None,
     trace_sink: Any = None,
 ) -> LiveExplorationReport:
     """Run ``schedules`` seeded live campaigns; collect every violation.
 
     Runs are sequential — each owns a fresh simulated world — and the
     report is a deterministic function of ``(meta_seed, parameters)``.
-    ``progress`` (if given) is called after each run with
-    ``(index, scenario, outcome)``; ``trace_sink`` with
+    ``trace_sink`` (if given) is called after each run with
     ``(index, scenario, result)`` — the full :class:`LiveRunResult`,
     for callers that want the trace/history artifacts.
     """
@@ -487,82 +512,6 @@ def explore_live(
             report.undecided += 1
         else:
             report.errors += 1
-        if progress is not None:
-            progress(index, scenario, outcome)
         if stop_after is not None and report.violations >= stop_after:
             break
     return report
-
-
-# ---------------------------------------------------------------------------
-# Shrinking
-# ---------------------------------------------------------------------------
-
-
-def shrink_live(
-    scenario: LiveScenario,
-    violation: ViolationRecord,
-    *,
-    max_runs: int = 60,
-    progress: Any = None,
-) -> Tuple[LiveScenario, ViolationRecord]:
-    """Greedily minimize a failing scenario, preserving the violation kind.
-
-    Passes, repeated until a fixpoint or the run budget is spent:
-    drop one fault event at a time; drop trailing faults and truncate
-    the duration to just past the last survivor; reduce writer clients.
-    Each candidate is re-run; a shrink is kept only if it still fails
-    with the same violation kind.
-    """
-    runs = 0
-
-    def still_fails(candidate: LiveScenario) -> Optional[ViolationRecord]:
-        nonlocal runs
-        if runs >= max_runs:
-            return None
-        runs += 1
-        outcome = run_live_scenario(candidate)
-        if progress is not None:
-            progress(runs, candidate, outcome)
-        if (
-            outcome.status == VIOLATION
-            and outcome.violation is not None
-            and outcome.violation.kind == violation.kind
-        ):
-            return outcome.violation
-        return None
-
-    best, best_violation = scenario, violation
-    improved = True
-    while improved and runs < max_runs:
-        improved = False
-        # Pass 1: drop individual fault events.
-        for i in range(len(best.faults)):
-            candidate = replace(
-                best, faults=best.faults[:i] + best.faults[i + 1:]
-            )
-            verdict = still_fails(candidate)
-            if verdict is not None:
-                best, best_violation = candidate, verdict
-                improved = True
-                break
-        if improved:
-            continue
-        # Pass 2: truncate the campaign after the last remaining fault.
-        if best.faults:
-            cut = best.faults[-1].at + 1.0
-            if cut < best.duration:
-                candidate = replace(best, duration=round(cut, 6))
-                verdict = still_fails(candidate)
-                if verdict is not None:
-                    best, best_violation = candidate, verdict
-                    improved = True
-                    continue
-        # Pass 3: fewer clients (never below one writer + one reader).
-        if best.clients > 2:
-            candidate = replace(best, clients=best.clients - 1)
-            verdict = still_fails(candidate)
-            if verdict is not None:
-                best, best_violation = candidate, verdict
-                improved = True
-    return best, best_violation

@@ -19,6 +19,13 @@ Reduction passes, in order:
 4. simplify the network — replace exotic delay models with the uniform
    default, drop FIFO.
 
+Live-stack scenarios (:class:`~repro.dst.livestack.LiveScenario`) run
+through the same loop with their own passes, in order:
+
+1. drop one fault event;
+2. truncate the campaign to just past the last remaining fault;
+3. drop one client (never below two: a writer and a reader).
+
 The result replays deterministically: re-running the minimized scenario
 reproduces the identical violation, which is what the regression corpus
 (:mod:`repro.dst.corpus`) stores and asserts.
@@ -26,9 +33,10 @@ reproduces the identical violation, which is what the regression corpus
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, List, Optional, Tuple, Union
 
+from repro.dst.livestack import LiveScenario, run_live
 from repro.dst.registry import get_algorithm
 from repro.dst.scenario import (
     VIOLATION,
@@ -53,18 +61,10 @@ class ShrinkResult:
         accepted: how many reductions were kept.
     """
 
-    scenario: Scenario
+    scenario: Union[Scenario, LiveScenario]
     violation: ViolationRecord
     attempts: int = 0
     accepted: int = 0
-
-
-def _still_fails(scenario: Scenario, kind: str) -> Optional[ViolationRecord]:
-    outcome = run_scenario(scenario)
-    if outcome.status == VIOLATION and outcome.violation is not None:
-        if outcome.violation.kind == kind:
-            return outcome.violation
-    return None
 
 
 def _drop_failures(scenario: Scenario) -> List[Scenario]:
@@ -250,25 +250,65 @@ _PASSES: Tuple[Callable[[Scenario], List[Scenario]], ...] = (
 )
 
 
+def _drop_fault(scenario: LiveScenario) -> List[LiveScenario]:
+    return [
+        replace(scenario, faults=scenario.faults[:i] + scenario.faults[i + 1:])
+        for i in range(len(scenario.faults))
+    ]
+
+
+def _truncate_duration(scenario: LiveScenario) -> List[LiveScenario]:
+    if not scenario.faults or scenario.faults[-1].at + 1.0 >= scenario.duration:
+        return []
+    return [replace(scenario, duration=round(scenario.faults[-1].at + 1.0, 6))]
+
+
+def _fewer_clients(scenario: LiveScenario) -> List[LiveScenario]:
+    if scenario.clients <= 2:
+        return []
+    return [replace(scenario, clients=scenario.clients - 1)]
+
+
+_LIVE_PASSES: Tuple[Callable[[LiveScenario], List[LiveScenario]], ...] = (
+    _drop_fault,
+    _truncate_duration,
+    _fewer_clients,
+)
+
+
+#: Per scenario type: how to run one, the reduction passes, and the
+#: default attempt budget (a live run costs seconds, a simulator run
+#: milliseconds).
+_STRATEGIES = {
+    Scenario: (run_scenario, _PASSES, 400),
+    LiveScenario: (lambda s: run_live(s).outcome, _LIVE_PASSES, 60),
+}
+
+
 def shrink(
-    scenario: Scenario,
+    scenario: Union[Scenario, LiveScenario],
     violation: Optional[ViolationRecord] = None,
     *,
-    max_attempts: int = 400,
+    max_attempts: Optional[int] = None,
 ) -> ShrinkResult:
     """Minimize ``scenario`` while preserving its violation kind.
 
     Args:
-        scenario: a scenario known (or believed) to violate.
+        scenario: a simulator or live-stack scenario known (or believed)
+            to violate.
         violation: the violation to preserve; re-derived by running the
             scenario when omitted.
-        max_attempts: hard cap on candidate executions.
+        max_attempts: hard cap on candidate executions (default 400 for
+            simulator scenarios, 60 for live-stack ones).
 
     Raises:
         ValueError: if the input scenario does not actually violate.
     """
+    run, passes, default_attempts = _STRATEGIES[type(scenario)]
+    if max_attempts is None:
+        max_attempts = default_attempts
     if violation is None:
-        outcome = run_scenario(scenario)
+        outcome = run(scenario)
         if outcome.status != VIOLATION or outcome.violation is None:
             raise ValueError("scenario does not reproduce a violation")
         violation = outcome.violation
@@ -277,15 +317,19 @@ def shrink(
     improved = True
     while improved and result.attempts < max_attempts:
         improved = False
-        for make_candidates in _PASSES:
+        for make_candidates in passes:
             for candidate in make_candidates(result.scenario):
                 if result.attempts >= max_attempts:
                     break
                 result.attempts += 1
-                reproduced = _still_fails(candidate, kind)
-                if reproduced is not None:
+                outcome = run(candidate)
+                if (
+                    outcome.status == VIOLATION
+                    and outcome.violation is not None
+                    and outcome.violation.kind == kind
+                ):
                     result.scenario = candidate
-                    result.violation = reproduced
+                    result.violation = outcome.violation
                     result.accepted += 1
                     improved = True
                     break  # restart passes from the smaller scenario

@@ -7,36 +7,28 @@ from a deposed leader's local state) must FAIL the check with a minimal
 witness.  Marked ``chaos``: opt in with ``pytest -m chaos``.
 """
 
-import asyncio
-
 import pytest
 
-from repro.chaos import FaultPlan, History, Nemesis, check_history
-from repro.chaos.cli import CAMPAIGN_TIMINGS
-from repro.chaos.nemesis import FaultEvent
-from repro.chaos.workload import close_clients, make_clients, run_workload
-from repro.live import LiveKVCluster
+from repro.chaos import FaultPlan
+from repro.core.runtime import AsyncioRuntime
+from repro.dst.livestack import LiveScenario, run_live
 
 pytestmark = pytest.mark.chaos
 
 
-def run(coro, timeout=300.0):
-    return asyncio.run(asyncio.wait_for(coro, timeout))
-
-
-async def _campaign(
+def campaign_report(
     *,
     seed,
     duration=10.0,
     kinds=("kill-leader", "partition", "partition-leader"),
-    unsafe_lin_reads=False,
+    lease_attack=False,
+    data_dir=None,
     nodes=5,
     shards=2,
-    clients=4,
-    lease_attack=False,
-    **server_options,
+    **fields,
 ):
-    """Boot → fault+load → heal → grace reads → check.  Returns report."""
+    """Boot → fault+load → heal → grace reads → check, on real sockets.
+    Returns the checker report."""
     if lease_attack:
         plan = FaultPlan.lease_attack_campaign(
             seed, duration=duration, period=3.0
@@ -45,60 +37,36 @@ async def _campaign(
         plan = FaultPlan.random_campaign(
             seed, duration=duration, period=3.0, kinds=kinds
         )
-    cluster = LiveKVCluster(
-        nodes,
-        seed=seed,
+    scenario = LiveScenario(
+        n=nodes,
         shards=shards,
-        unsafe_lin_reads=unsafe_lin_reads,
-        **server_options,
-        **CAMPAIGN_TIMINGS,
+        seed=seed,
+        duration=duration,
+        clients=4,
+        key_space=4,
+        op_pause=0.005,
+        grace=2.0,
+        faults=plan.events,
+        **fields,
     )
-    history = History()
-    recorders = make_clients(cluster.cluster, history, clients, shards=shards)
-    try:
-        await cluster.start()
-        await cluster.wait_for_all_leaders(20.0)
-        nemesis = Nemesis(cluster, plan)
-        workload = asyncio.ensure_future(
-            run_workload(
-                recorders, duration=duration, seed=seed, pause=0.005
-            )
-        )
-        await nemesis.run()
-        await workload
-        await nemesis.apply(FaultEvent(0.0, "heal"))
-        await nemesis.apply(FaultEvent(0.0, "restart"))
-        await cluster.wait_for_all_leaders(20.0)
-        # Post-heal reads: every key must still read consistently.
-        await run_workload(
-            recorders,
-            duration=2.0,
-            seed=seed + 1,
-            read_fraction=1.0,
-            readonly_clients=clients,
-            pause=0.005,
-        )
-    finally:
-        await close_clients(recorders)
-        await cluster.stop()
-    assert len(history) > 100, "campaign produced too little history"
-    return check_history(history, time_budget=60.0)
+    result = run_live(scenario, AsyncioRuntime(), data_dir=data_dir)
+    assert result.report is not None, result.outcome
+    assert len(result.history) > 100, "campaign produced too little history"
+    return result.report
 
 
 class TestCampaigns:
     def test_seeded_campaign_is_linearizable(self):
         """A correct cluster survives leader kills and partitions."""
-        report = run(_campaign(seed=7))
+        report = campaign_report(seed=7)
         assert report.ok is True, report.summary()
 
     def test_stale_read_bug_is_caught_with_witness(self):
         """The injected deposed-leader bug must fail the check."""
-        report = run(
-            _campaign(
-                seed=7,
-                kinds=("partition-leader",),
-                unsafe_lin_reads=True,
-            )
+        report = campaign_report(
+            seed=7,
+            kinds=("partition-leader",),
+            inject_bug="stale-reads",
         )
         assert report.ok is False, report.summary()
         violation = report.violations[0]
@@ -116,30 +84,26 @@ class TestCampaigns:
     def test_lease_attack_with_drift_bound_is_linearizable(self):
         """Clock-skewed, isolated leaseholders with a correct drift
         bound stop serving before a rival can commit past them."""
-        report = run(
-            _campaign(
-                seed=11,
-                nodes=3,
-                shards=1,
-                lease_attack=True,
-                read_tier="lease",
-                drift_bound=0.25,
-            )
+        report = campaign_report(
+            seed=11,
+            nodes=3,
+            shards=1,
+            lease_attack=True,
+            read_tier="lease",
+            drift_bound=0.25,
         )
         assert report.ok is True, report.summary()
 
     def test_unbounded_lease_is_caught_with_witness(self):
         """A lease that ignores clock drift serves stale reads after
         deposition; the checker must reject the history."""
-        report = run(
-            _campaign(
-                seed=11,
-                nodes=3,
-                shards=1,
-                lease_attack=True,
-                read_tier="lease",
-                drift_bound=0.0,
-            )
+        report = campaign_report(
+            seed=11,
+            nodes=3,
+            shards=1,
+            lease_attack=True,
+            read_tier="lease",
+            drift_bound=0.0,
         )
         assert report.ok is False, report.summary()
         violation = report.violations[0]

@@ -9,78 +9,14 @@ before fsync) must FAIL with a minimal witness.  Marked ``chaos``:
 opt in with ``pytest -m chaos``.
 """
 
-import asyncio
-
 import pytest
 
-from repro.chaos import FaultPlan, History, Nemesis, check_history
-from repro.chaos.cli import CAMPAIGN_TIMINGS
-from repro.chaos.nemesis import FaultEvent
-from repro.chaos.workload import close_clients, make_clients, run_workload
-from repro.live import LiveKVCluster
+from tests.chaos.test_campaign import campaign_report
 
 pytestmark = pytest.mark.chaos
 
-
-def run(coro, timeout=300.0):
-    return asyncio.run(asyncio.wait_for(coro, timeout))
-
-
-async def _campaign(
-    *,
-    seed,
-    data_dir,
-    duration=12.0,
-    kinds=("power-fail", "power-fail-all", "torn-tail", "bit-flip"),
-    lost_ack_bug=False,
-    sync_mode="inline",
-    nodes=5,
-    shards=2,
-    clients=4,
-):
-    """Boot → power-fail+load → heal → grace reads → check the history."""
-    plan = FaultPlan.random_campaign(
-        seed, duration=duration, period=3.0, kinds=kinds
-    )
-    cluster = LiveKVCluster(
-        nodes,
-        seed=seed,
-        shards=shards,
-        data_dir=data_dir,
-        lost_ack_bug=lost_ack_bug,
-        sync_mode=sync_mode,
-        **CAMPAIGN_TIMINGS,
-    )
-    history = History()
-    recorders = make_clients(cluster.cluster, history, clients, shards=shards)
-    try:
-        await cluster.start()
-        await cluster.wait_for_all_leaders(20.0)
-        nemesis = Nemesis(cluster, plan)
-        workload = asyncio.ensure_future(
-            run_workload(
-                recorders, duration=duration, seed=seed, pause=0.005
-            )
-        )
-        await nemesis.run()
-        await workload
-        await nemesis.apply(FaultEvent(0.0, "heal"))
-        await nemesis.apply(FaultEvent(0.0, "restart"))
-        await cluster.wait_for_all_leaders(20.0)
-        # Post-heal reads: recovered state must still read consistently.
-        await run_workload(
-            recorders,
-            duration=2.0,
-            seed=seed + 1,
-            read_fraction=1.0,
-            readonly_clients=clients,
-            pause=0.005,
-        )
-    finally:
-        await close_clients(recorders)
-        await cluster.stop()
-    assert len(history) > 100, "campaign produced too little history"
-    return check_history(history, time_budget=60.0)
+#: Every power-failure kind, against real data directories.
+POWER_FAILURES = ("power-fail", "power-fail-all", "torn-tail", "bit-flip")
 
 
 class TestDurabilityCampaigns:
@@ -90,8 +26,12 @@ class TestDurabilityCampaigns:
         including full-cluster outages that restart from disk alone —
         with the fsync inline on the event loop or off-loaded to the
         pipelined durability-watermark thread."""
-        report = run(
-            _campaign(seed=5, data_dir=str(tmp_path), sync_mode=sync_mode)
+        report = campaign_report(
+            seed=5,
+            duration=12.0,
+            kinds=POWER_FAILURES,
+            data_dir=str(tmp_path),
+            sync_mode=sync_mode,
         )
         assert report.ok is True, report.summary()
 
@@ -102,14 +42,13 @@ class TestDurabilityCampaigns:
         produces a witness proving it.  The pipelined barrier must not
         mask the bug: with fsync skipped the watermark still advances,
         so acks escape and the canary still fires."""
-        report = run(
-            _campaign(
-                seed=5,
-                data_dir=str(tmp_path),
-                kinds=("power-fail-all",),
-                lost_ack_bug=True,
-                sync_mode=sync_mode,
-            )
+        report = campaign_report(
+            seed=5,
+            duration=12.0,
+            data_dir=str(tmp_path),
+            kinds=("power-fail-all",),
+            inject_bug="lost-ack",
+            sync_mode=sync_mode,
         )
         assert report.ok is False, report.summary()
         violation = report.violations[0]

@@ -19,7 +19,6 @@ from repro.dst.livestack import (
     explore_live,
     generate_live_scenarios,
     run_live,
-    run_live_scenario,
 )
 
 #: Short but not trivial: two fault-heal cycles, a couple hundred ops.
@@ -110,25 +109,50 @@ class TestScenarioSerialization:
             LiveScenario(faults=(FaultEvent(1.0, "meteor-strike"),))
 
 
+#: A deposed leader that serves lin reads from local state: must violate.
+STALE_READS_CANARY = LiveScenario(
+    n=3,
+    shards=1,
+    seed=13,
+    duration=4.0,
+    clients=3,
+    op_pause=0.005,
+    inject_bug="stale-reads",
+    faults=(
+        FaultEvent(1.0, "partition-leader", (("roll", 0.2),)),
+        FaultEvent(3.0, "heal"),
+        FaultEvent(3.0, "restart"),
+    ),
+)
+
+
 class TestInjectedBugCanary:
     def test_stale_reads_bug_violates(self):
         """A deliberately broken cluster must produce a violation —
         the oracle path from live history to checker verdict works."""
-        scenario = LiveScenario(
-            n=3,
-            shards=1,
-            seed=13,
-            duration=4.0,
-            clients=3,
-            op_pause=0.005,
-            inject_bug="stale-reads",
-            faults=(
-                FaultEvent(1.0, "partition-leader", (("roll", 0.2),)),
-                FaultEvent(3.0, "heal"),
-                FaultEvent(3.0, "restart"),
-            ),
-        )
-        outcome = run_live_scenario(scenario)
+        outcome = run_live(STALE_READS_CANARY).outcome
         assert outcome.status == "violation", outcome
         assert outcome.violation.kind == "linearizability"
         assert outcome.violation.event_index >= 0
+
+
+class TestDataDir:
+    def test_reused_data_dir_is_refused(self, tmp_path):
+        """Values a previous run left in the WALs would read as writes
+        the new history never made, so a used directory is refused
+        before the cluster boots."""
+        scenario = LiveScenario(
+            n=3,
+            shards=1,
+            seed=3,
+            duration=2.0,
+            clients=2,
+            grace=0.5,
+            faults=(FaultEvent(1.0, "power-fail", (("roll", 0.4),)),),
+        )
+        data_dir = str(tmp_path / "data")
+        assert run_live(scenario, data_dir=data_dir).outcome.status == "ok"
+        before = sorted(p.name for p in (tmp_path / "data").iterdir())
+        with pytest.raises(ValueError, match="not empty"):
+            run_live(scenario, data_dir=data_dir)
+        assert sorted(p.name for p in (tmp_path / "data").iterdir()) == before

@@ -2,13 +2,22 @@
 
 Uses the deliberately broken Ben-Or variant as the bug source — the same
 acceptance path the corpus workflow exercises: explore → shrink → the
-minimized scenario replays to the *identical* violation.
+minimized scenario replays to the *identical* violation — and, for the
+live stack, the stale-reads canary cluster.
 """
 
 import pytest
 
-from repro.dst import ShrinkResult, explore, run_scenario, shrink
+from repro.dst import (
+    LiveScenario,
+    ShrinkResult,
+    explore,
+    run_live,
+    run_scenario,
+    shrink,
+)
 from repro.dst.scenario import VIOLATION, Scenario, mutate_scenario
+from tests.dst.test_livestack import STALE_READS_CANARY
 
 
 @pytest.fixture(scope="module")
@@ -73,3 +82,35 @@ def test_shrink_respects_the_attempt_cap(found):
         bloated = scenario
     result = shrink(bloated, max_attempts=5)
     assert result.attempts <= 5
+
+
+@pytest.fixture(scope="module")
+def live_shrunk():
+    """The live stale-reads canary, shrunk under a small attempt cap
+    (each live run costs a second or more of wall time)."""
+    outcome = run_live(STALE_READS_CANARY).outcome
+    assert outcome.status == VIOLATION, outcome
+    return outcome.violation, shrink(
+        STALE_READS_CANARY, outcome.violation, max_attempts=4
+    )
+
+
+def test_live_shrink_keeps_the_violation_kind(live_shrunk):
+    violation, result = live_shrunk
+    assert result.violation.kind == violation.kind == "linearizability"
+    assert 1 <= result.attempts <= 4
+
+
+def test_live_shrink_never_grows_the_scenario(live_shrunk):
+    _, result = live_shrunk
+    small, big = result.scenario, STALE_READS_CANARY
+    assert set(small.faults) <= set(big.faults)
+    assert small.duration <= big.duration
+    assert 2 <= small.clients <= big.clients
+
+
+def test_live_shrunk_scenario_replays_to_the_same_kind(live_shrunk):
+    _, result = live_shrunk
+    replayed = run_live(LiveScenario.from_dict(result.scenario.to_dict()))
+    assert replayed.outcome.status == VIOLATION
+    assert replayed.outcome.violation.kind == result.violation.kind
