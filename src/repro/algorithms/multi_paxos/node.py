@@ -25,7 +25,7 @@ from repro.algorithms.multi_paxos.messages import (
 )
 from repro.algorithms.replica import LEADER, BallotReplicaNode
 from repro.sim.messages import Pid
-from repro.sim.ops import SetTimer, TimerFired
+from repro.sim.ops import EpochTimer, SetTimer, TimerFired
 from repro.sim.process import ProcessAPI, ProtocolGenerator
 
 
@@ -39,6 +39,9 @@ class MultiPaxosNode(BallotReplicaNode):
             timeout draw — exactly Raft's trigger, so the two engines
             differ only in how leadership is *won*, not when it is
             *sought*.
+
+    ``reconciliator_timer`` is the :class:`~repro.sim.ops.EpochTimer`
+    behind that retry timer, as on the Raft node.
     """
 
     PREPARE_CLS = PaxPrepare
@@ -60,26 +63,23 @@ class MultiPaxosNode(BallotReplicaNode):
             raise ValueError("election_timeout must satisfy 0 < low <= high")
         super().__init__(**kwargs)
         self.election_timeout = election_timeout
-        self._retry_epoch = 0
+        self.reconciliator_timer = EpochTimer("retry")
 
     # ------------------------------------------------------------------
     # The reconciliator: randomized retry timer
     # ------------------------------------------------------------------
 
-    def _arm_retry_timer(self, api: ProcessAPI) -> SetTimer:
-        self._retry_epoch += 1
+    def _arm_retry_timer(self, api: ProcessAPI) -> ProtocolGenerator:
         timeout = api.rng.uniform(*self.election_timeout)
-        return SetTimer(timeout, f"retry:{self._retry_epoch}")
+        yield from self.reconciliator_timer.arm(timeout)
 
     def _on_boot(self, api: ProcessAPI) -> ProtocolGenerator:
-        self._retry_epoch = 0
-        yield self._arm_retry_timer(api)
+        yield from self._arm_retry_timer(api)
 
     def _on_timer(self, api: ProcessAPI, fired: TimerFired) -> ProtocolGenerator:
-        if fired.name.startswith("retry:"):
-            epoch = int(fired.name.split(":", 1)[1])
-            if epoch == self._retry_epoch and self.state is not LEADER:
-                yield self._arm_retry_timer(api)
+        if self.reconciliator_timer.is_current(fired):
+            if self.state is not LEADER:
+                yield from self._arm_retry_timer(api)
                 yield from self._start_campaign(api)
         elif fired.name == "heartbeat" and self.state is LEADER:
             yield from self._heartbeat_chains(api)
@@ -89,11 +89,11 @@ class MultiPaxosNode(BallotReplicaNode):
         yield SetTimer(self.heartbeat_interval, "heartbeat")
 
     def _on_leader_contact(self, api: ProcessAPI, leader: Pid) -> ProtocolGenerator:
-        yield self._arm_retry_timer(api)
+        yield from self._arm_retry_timer(api)
 
     def _on_campaign_observed(self, api: ProcessAPI, sender: Pid) -> ProtocolGenerator:
         # Granting a promise means a fresher campaign is in flight: defer.
-        yield self._arm_retry_timer(api)
+        yield from self._arm_retry_timer(api)
 
     def _on_campaign_failed(self, api: ProcessAPI) -> ProtocolGenerator:
-        yield self._arm_retry_timer(api)
+        yield from self._arm_retry_timer(api)

@@ -34,7 +34,15 @@ from repro.algorithms.paxos.messages import (
 )
 from repro.core.confidence import ADOPT, COMMIT, VACILLATE
 from repro.sim.messages import Pid
-from repro.sim.ops import Annotate, Broadcast, Decide, Receive, Send, SetTimer, TimerFired
+from repro.sim.ops import (
+    Annotate,
+    Broadcast,
+    Decide,
+    EpochTimer,
+    Receive,
+    Send,
+    TimerFired,
+)
 from repro.sim.process import Process, ProcessAPI, ProtocolGenerator
 
 
@@ -75,7 +83,7 @@ class PaxosNode(Process):
         self._proposing: Optional[Ballot] = None
         self._promises: Dict[Pid, Promise] = {}
         self._accept_tally: Dict[Ballot, Set[Pid]] = {}
-        self._timer_epoch = 0
+        self.reconciliator_timer = EpochTimer("retry")
 
     # ------------------------------------------------------------------
 
@@ -90,7 +98,7 @@ class PaxosNode(Process):
         self._proposing = None
         self._promises = {}
         self._accept_tally = defaultdict(set)
-        yield self._arm_retry_timer(api)
+        yield from self._arm_retry_timer(api)
         while True:
             envelopes = yield Receive(count=1)
             payload = envelopes[0].payload
@@ -114,19 +122,16 @@ class PaxosNode(Process):
     # The reconciliator: randomized proposal retries
     # ------------------------------------------------------------------
 
-    def _arm_retry_timer(self, api: ProcessAPI) -> SetTimer:
-        self._timer_epoch += 1
+    def _arm_retry_timer(self, api: ProcessAPI) -> ProtocolGenerator:
         timeout = api.rng.uniform(*self.retry_timeout)
-        return SetTimer(timeout, f"retry:{self._timer_epoch}")
+        yield from self.reconciliator_timer.arm(timeout)
 
     def _on_timer(self, api: ProcessAPI, fired: TimerFired) -> ProtocolGenerator:
-        if not fired.name.startswith("retry:"):
-            return
-        if int(fired.name.split(":", 1)[1]) != self._timer_epoch:
+        if not self.reconciliator_timer.is_current(fired):
             return
         if self.decision is None:
             yield from self._start_ballot(api)
-        yield self._arm_retry_timer(api)
+        yield from self._arm_retry_timer(api)
 
     def _start_ballot(self, api: ProcessAPI) -> ProtocolGenerator:
         self.max_counter_seen += 1
@@ -198,7 +203,7 @@ class PaxosNode(Process):
             # Ballot is dead; retreat and let the timer try again later.
             self._proposing = None
             self._promises = {}
-            yield self._arm_retry_timer(api)
+            yield from self._arm_retry_timer(api)
 
     # ------------------------------------------------------------------
     # Learner role

@@ -11,7 +11,7 @@ logs identical up through any index where they share an entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,12 @@ class RaftLog:
         self._entries: List[Entry] = list(entries or [])
         self.snapshot_index = 0
         self.snapshot_term = 0
+        # Duplicate-proposal index over the retained entries: hashable
+        # command -> how many retained entries carry it, plus the number
+        # of retained entries whose command is unhashable.
+        self._command_counts: Dict[Any, int] = {}
+        self._unhashable = 0
+        self._count(self._entries, 1)
 
     # ------------------------------------------------------------------
     # Inspection
@@ -89,12 +95,21 @@ class RaftLog:
         return list(self._entries)
 
     def contains_command(self, command: Any) -> bool:
-        """Whether any retained entry carries ``command`` (no copy made).
+        """Whether any retained entry carries ``command``.
 
-        Used by the leader's duplicate-proposal check; compacted entries
-        are not consulted (they are committed, so a retried proposal for
-        one is at worst a harmless re-append of an applied command).
+        Used by the leader's duplicate-proposal check.  Answered in O(1)
+        from a command index that every mutation keeps current; only
+        while an unhashable command is retained (or for an unhashable
+        ``command``) does it fall back to scanning the retained entries.
+        Compacted entries are not consulted (they are committed, so a
+        retried proposal for one is at worst a harmless re-append of an
+        applied command).
         """
+        if not self._unhashable:
+            try:
+                return command in self._command_counts
+            except TypeError:
+                pass  # unhashable query: it may still equal a hashable entry
         return any(entry.command == command for entry in self._entries)
 
     def __len__(self) -> int:
@@ -105,6 +120,20 @@ class RaftLog:
             f"RaftLog(snapshot@{self.snapshot_index}t{self.snapshot_term}, "
             f"{self._entries!r})"
         )
+
+    def _count(self, entries: Iterable[Entry], delta: int) -> None:
+        """Add ``delta`` (+1 or -1) to the index count of each entry."""
+        counts = self._command_counts
+        for entry in entries:
+            try:
+                left = counts.get(entry.command, 0) + delta
+            except TypeError:
+                self._unhashable += delta
+                continue
+            if left:
+                counts[entry.command] = left
+            else:
+                del counts[entry.command]
 
     # ------------------------------------------------------------------
     # Persistence hooks
@@ -138,7 +167,9 @@ class RaftLog:
         if index > self.last_index:
             raise IndexError(f"cannot compact beyond last index {self.last_index}")
         term = self.term_at(index)
-        del self._entries[: index - self.snapshot_index]
+        cut = index - self.snapshot_index
+        self._count(self._entries[:cut], -1)
+        del self._entries[:cut]
         self.snapshot_index = index
         self.snapshot_term = term
         self._record_compact(index, term)
@@ -160,6 +191,8 @@ class RaftLog:
                     keep = list(self.entries_from(index + 1)) if index < self.last_index else []
             except CompactedError:  # pragma: no cover - defensive
                 keep = []
+        self._count(self._entries, -1)
+        self._count(keep, 1)
         self._entries = keep
         self.snapshot_index = index
         self.snapshot_term = term
@@ -172,6 +205,7 @@ class RaftLog:
     def append_new(self, entry: Entry) -> int:
         """Leader-side append of a brand-new entry; returns its index."""
         self._entries.append(entry)
+        self._count((entry,), 1)
         self._record_append(self.last_index, entry)
         return self.last_index
 
@@ -205,12 +239,16 @@ class RaftLog:
             index = prev_log_index + 1 + offset
             if index <= self.last_index:
                 if self.term_at(index) != entry.term:
-                    del self._entries[index - self.snapshot_index - 1 :]
+                    cut = index - self.snapshot_index - 1
+                    self._count(self._entries[cut:], -1)
+                    del self._entries[cut:]
                     self._entries.append(entry)
+                    self._count((entry,), 1)
                     self._record_append(index, entry)
                 # else: identical entry already present, keep it
             else:
                 self._entries.append(entry)
+                self._count((entry,), 1)
                 self._record_append(index, entry)
         return True
 

@@ -91,8 +91,10 @@ class InstallSnapshotReply:
 class ClientPropose:
     """A client asks the cluster to append ``command`` to the log.
 
-    Only the leader acts on it; ``proposal_id`` lets the leader deduplicate
-    retried proposals.
+    Only the leader acts on it, and it drops a retried proposal whose
+    ``command`` is already in its log
+    (:meth:`~repro.algorithms.raft.log.RaftLog.contains_command`);
+    ``proposal_id`` just names the proposal.
     """
 
     proposal_id: Any

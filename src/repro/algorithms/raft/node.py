@@ -70,7 +70,16 @@ from repro.algorithms.readpath import (
 )
 from repro.core.confidence import ADOPT, COMMIT, VACILLATE
 from repro.sim.messages import Pid
-from repro.sim.ops import Annotate, Broadcast, Decide, Receive, Send, SetTimer, TimerFired
+from repro.sim.ops import (
+    Annotate,
+    Broadcast,
+    Decide,
+    EpochTimer,
+    Receive,
+    Send,
+    SetTimer,
+    TimerFired,
+)
 from repro.sim.process import Process, ProcessAPI, ProtocolGenerator
 
 #: Node states.
@@ -106,7 +115,9 @@ class RaftNode(Process):
         current_term, voted_for, log — Raft's persistent state (Figure 2).
 
     Attributes (volatile, observable by tests):
-        state, commit_index, last_applied, machine.
+        state, commit_index, last_applied, machine, reconciliator_timer
+        (the :class:`~repro.sim.ops.EpochTimer` behind the election
+        timer).
     """
 
     def __init__(
@@ -151,15 +162,11 @@ class RaftNode(Process):
         #: ``sent_index + 1``; rejections rewind it to ``next_index - 1``.
         self.sent_index: Dict[Pid, int] = {}
         self._votes: Set[Pid] = set()
-        self._election_epoch = 0
+        self.reconciliator_timer = EpochTimer("election")
         self._decided = False
         #: Last known leader of the current term (``None`` during
         #: elections) — the redirect hint live KV frontends serve clients.
         self.leader_hint: Optional[Pid] = None
-        #: Proposal ids already accepted this incarnation (fast-path
-        #: duplicate check; the log scan below remains the backstop for
-        #: proposals first logged under an earlier leader or incarnation).
-        self._proposed_ids: Set[Any] = set()
         # Follower-side ack coalescing (volatile): the last success-ack
         # state sent, and how many redundant heartbeat acks were skipped
         # since.  A backstop re-ack fires every ``ACK_REACK_EVERY``
@@ -195,7 +202,6 @@ class RaftNode(Process):
         self._votes = set()
         self._decided = False
         self.leader_hint = None
-        self._proposed_ids = set()
         self._last_ack = None
         self._ack_skips = 0
         self._ae_sent = {}
@@ -207,7 +213,7 @@ class RaftNode(Process):
             self.commit_index = self.log.snapshot_index
             self.last_applied = self.log.snapshot_index
             yield from self._report_decision(api)
-        yield self._arm_election_timer(api)
+        yield from self._arm_election_timer(api)
         while True:
             envelopes = yield Receive(count=1)
             payload = envelopes[0].payload
@@ -255,20 +261,15 @@ class RaftNode(Process):
     # Timers (the reconciliator, Algorithm 11)
     # ------------------------------------------------------------------
 
-    def _arm_election_timer(self, api: ProcessAPI) -> SetTimer:
-        """(Re-)arm the election timer with a fresh random timeout.
-
-        The epoch embedded in the timer name invalidates fired-but-not-yet-
-        consumed timer events from before the reset.
-        """
-        self._election_epoch += 1
+    def _arm_election_timer(self, api: ProcessAPI) -> ProtocolGenerator:
+        """(Re-)arm the election timer with a fresh random timeout,
+        cancelling the superseded one (see :class:`EpochTimer`)."""
         timeout = api.rng.uniform(*self.election_timeout)
-        return SetTimer(timeout, f"election:{self._election_epoch}")
+        yield from self.reconciliator_timer.arm(timeout)
 
     def _on_timer(self, api: ProcessAPI, fired: TimerFired) -> ProtocolGenerator:
-        if fired.name.startswith("election:"):
-            epoch = int(fired.name.split(":", 1)[1])
-            if epoch == self._election_epoch and self.state != LEADER:
+        if self.reconciliator_timer.is_current(fired):
+            if self.state != LEADER:
                 yield from self._start_election(api)
         elif fired.name == "heartbeat" and self.state == LEADER:
             yield from self._broadcast_append_entries(api)
@@ -284,7 +285,7 @@ class RaftNode(Process):
         value = self._current_value(api)
         yield Annotate("vac", (self.current_term, VACILLATE, value))
         yield Annotate("reconciled", (self.current_term, value))
-        yield self._arm_election_timer(api)
+        yield from self._arm_election_timer(api)
         if len(self._votes) >= self._majority(api):
             yield from self._become_leader(api)
             return
@@ -322,7 +323,7 @@ class RaftNode(Process):
         )
         if grant:
             self.voted_for = msg.candidate_id
-            yield self._arm_election_timer(api)
+            yield from self._arm_election_timer(api)
         yield Send(
             msg.candidate_id, RequestVoteReply(self.current_term, grant, api.pid)
         )
@@ -345,7 +346,7 @@ class RaftNode(Process):
         """Election won: freeze the election timer, adopt, start replicating."""
         self.state = LEADER
         self.leader_hint = api.pid
-        self._election_epoch += 1  # "freeze timer T" (Algorithm 10)
+        yield from self.reconciliator_timer.disarm()  # "freeze timer T" (Algorithm 10)
         self.next_index = {
             pid: self.log.last_index + 1 for pid in self._members(api) if pid != api.pid
         }
@@ -431,7 +432,7 @@ class RaftNode(Process):
             self.state = FOLLOWER  # a leader of our own term exists
         self.leader_hint = msg.leader_id
         self.reads.note_leader_contact(api.now)
-        yield self._arm_election_timer(api)
+        yield from self._arm_election_timer(api)
         ok = self.log.try_append(msg.prev_log_index, msg.prev_log_term, msg.entries)
         if not ok:
             yield Send(
@@ -570,7 +571,7 @@ class RaftNode(Process):
             self.state = FOLLOWER
         self.leader_hint = msg.leader_id
         self.reads.note_leader_contact(api.now)
-        yield self._arm_election_timer(api)
+        yield from self._arm_election_timer(api)
         if msg.last_included_index > self.log.snapshot_index:
             # Adopt the machine state before moving the log's snapshot
             # point: the log's compaction hook may persist the snapshot.
@@ -619,12 +620,8 @@ class RaftNode(Process):
     ) -> ProtocolGenerator:
         if self.state is not LEADER:
             return
-        if msg.proposal_id in self._proposed_ids:
-            return  # retried proposal, fast path
         if self.log.contains_command(msg.command):
-            self._proposed_ids.add(msg.proposal_id)
             return  # already logged (e.g. under a previous leader)
-        self._proposed_ids.add(msg.proposal_id)
         self.log.append_new(Entry(self.current_term, msg.command))
         yield from self._broadcast_append_entries(api)
         yield from self._advance_commit(api)  # n == 1 clusters commit at once
@@ -674,7 +671,7 @@ class RaftNode(Process):
             self.state = FOLLOWER
         self.leader_hint = msg.leader_id
         self.reads.note_leader_contact(api.now)
-        yield self._arm_election_timer(api)
+        yield from self._arm_election_timer(api)
         yield Send(
             msg.leader_id,
             ReadProbeAck(self.current_term, api.pid, msg.probe_id, True),
@@ -728,7 +725,7 @@ class RaftNode(Process):
         self._ae_sent = {}
         if self.state is not FOLLOWER:
             self.state = FOLLOWER
-            yield self._arm_election_timer(api)
+            yield from self._arm_election_timer(api)
 
     def _current_value(self, api: ProcessAPI) -> Any:
         """Algorithm 7's ``v*``: the last logged value, else the own input."""

@@ -50,7 +50,7 @@ live engine seam fails loudly instead of half-interoperating.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Set, Tuple, Type
+from typing import Any, Callable, Dict, Optional, Tuple, Type
 
 from repro.algorithms.raft.log import Entry, RaftLog
 from repro.algorithms.raft.messages import ClientPropose
@@ -191,7 +191,6 @@ class BallotReplicaNode(Process):
         self._promises: Dict[Pid, Any] = {}
         self._prepare_from = 1
         self._max_ballot_seen = 0
-        self._proposed_ids: Set[Any] = set()
         self._decided = False
         self._last_ack: Optional[Tuple[int, Pid, int, int]] = None
         self._ack_skips = 0
@@ -261,7 +260,6 @@ class BallotReplicaNode(Process):
         self.sent_index = {}
         self._promises = {}
         self._max_ballot_seen = self.promised
-        self._proposed_ids = set()
         self._decided = False
         self._last_ack = None
         self._ack_skips = 0
@@ -844,12 +842,8 @@ class BallotReplicaNode(Process):
     ) -> ProtocolGenerator:
         if self.state is not LEADER:
             return
-        if msg.proposal_id in self._proposed_ids:
-            return
         if self.log.contains_command(msg.command):
-            self._proposed_ids.add(msg.proposal_id)
             return
-        self._proposed_ids.add(msg.proposal_id)
         self.log.append_new(Entry(self.ballot, msg.command))
         yield from self._broadcast_chains(api)
         yield from self._advance_commit(api)

@@ -121,7 +121,9 @@ class TaggedPut(Put):
     The id makes two same-valued writes from different requests distinct
     commands, so the leader's duplicate-proposal check never conflates
     them, while :class:`~repro.algorithms.raft.state_machine.KeyValueStateMachine`
-    applies it like any other ``Put``.
+    applies it like any other ``Put``.  Being frozen it is hashable (given
+    a hashable key and value), so that check on the :class:`KvBatch`
+    carrying it is a lookup in the log's command index, not a log scan.
     """
 
     op_id: str = ""

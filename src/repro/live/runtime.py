@@ -17,8 +17,10 @@ Operation mapping (versus :class:`~repro.sim.async_runtime.AsyncRuntime`):
                    mailbox — the *same* matcher the simulator uses —
                    awaiting new deliveries when unsatisfied
 ``SetTimer``       ``loop.call_later`` delivering a ``TimerFired``
-                   payload through the mailbox, with the simulator's
-                   re-arm/cancel generation semantics
+                   payload through the mailbox; one pending handle per
+                   name, which a re-arm or ``CancelTimer`` cancels, so
+                   a superseded timer never fires (the simulator's
+                   re-arm/cancel semantics)
 ``Decide``         recorded with decision irrevocability enforced
 ``Annotate``       recorded
 ``Halt``           stops driving the generator
@@ -175,7 +177,6 @@ class LiveRuntime:
         self._owns_transport = transport is None
         self._mailbox: list = []
         self._mail_event = asyncio.Event()
-        self._timer_gen: Dict[str, int] = {}
         self._timer_handles: Dict[str, asyncio.TimerHandle] = {}
         self._seq = 0
         self._decided: Any = _UNDECIDED
@@ -381,16 +382,13 @@ class LiveRuntime:
         elif isinstance(op, SetTimer):
             if op.delay < 0:
                 raise LiveRuntimeError("timer delay must be >= 0")
-            gen = self._timer_gen.get(op.name, 0) + 1
-            self._timer_gen[op.name] = gen
             pending = self._timer_handles.pop(op.name, None)
             if pending is not None:
                 pending.cancel()
             self._timer_handles[op.name] = self.runtime.call_later(
-                op.delay, self._fire_timer, op.name, gen
+                op.delay, self._fire_timer, op.name
             )
         elif isinstance(op, CancelTimer):
-            self._timer_gen[op.name] = self._timer_gen.get(op.name, 0) + 1
             pending = self._timer_handles.pop(op.name, None)
             if pending is not None:
                 pending.cancel()
@@ -415,8 +413,9 @@ class LiveRuntime:
                 f"(synchronous Exchange ops need the round-based simulator)"
             )
 
-    def _fire_timer(self, name: str, gen: int) -> None:
-        if not self._running or self._timer_gen.get(name, 0) != gen:
+    def _fire_timer(self, name: str) -> None:
+        # A cancelled handle never runs, so this is the name's live timer.
+        if not self._running:
             return
         self._timer_handles.pop(name, None)
         self.trace.record(self.now, tr.TIMER, self.pid, name)

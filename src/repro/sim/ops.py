@@ -27,7 +27,7 @@ are identical in simulation and live execution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.sim.messages import Envelope, Pid
 
@@ -116,6 +116,41 @@ class TimerFired:
     """Payload delivered to a process when one of its timers fires."""
 
     name: str
+
+
+class EpochTimer:
+    """A re-armable timer named after the epoch it was armed in.
+
+    The reconciliator idiom shared by the Raft, Multi-Paxos and Paxos
+    nodes: every :meth:`arm` cancels the pending timer and arms the next
+    epoch's, ``"<prefix>:<epoch>"``, so a superseded timer never fires.
+    :meth:`is_current` still guards a fire that reached the mailbox
+    before the re-arm.  Use as ``yield from timer.arm(delay)``.
+    """
+
+    __slots__ = ("prefix", "epoch")
+
+    def __init__(self, prefix: str):
+        self.prefix = prefix
+        self.epoch = 0
+
+    @property
+    def name(self) -> str:
+        return f"{self.prefix}:{self.epoch}"
+
+    def arm(self, delay: float) -> Iterator[Op]:
+        """Cancel the current epoch's timer and arm the next one."""
+        yield from self.disarm()
+        yield SetTimer(delay, self.name)
+
+    def disarm(self) -> Iterator[Op]:
+        """Cancel the current epoch's timer and retire its epoch."""
+        yield CancelTimer(self.name)
+        self.epoch += 1
+
+    def is_current(self, fired: TimerFired) -> bool:
+        """Whether ``fired`` is this timer's latest arm."""
+        return fired.name == self.name
 
 
 @dataclass(frozen=True)
